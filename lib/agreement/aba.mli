@@ -22,7 +22,7 @@ val pp_msg : Format.formatter -> msg -> unit
 type t
 
 val create : n:int -> f:int -> me:int -> coin:Coin.t -> t
-(** @raise Invalid_argument unless n > 3f. *)
+(** @raise Invalid_argument unless n > 3f and 0 <= me < n. *)
 
 type reaction = {
   sends : (int * msg) list;
@@ -34,6 +34,10 @@ val propose : t -> bool -> reaction
     @raise Invalid_argument if already proposed. *)
 
 val handle : t -> src:int -> msg -> reaction
+(** Messages with [src] outside [\[0, n)] and BVAL/AUX for rounds below 1
+    are ignored. Each sender counts once per quorum: a repeated BVAL(r, v)
+    is a no-op, and only the first AUX(r, _) and the first DECIDE from a
+    sender are kept. *)
 
 val decision : t -> bool option
 val halted : t -> bool

@@ -37,10 +37,10 @@ let wrap_ab i sends = List.map (fun (dst, m) -> (dst, Ab (i, m))) sends
 
 let decided_true s =
   Array.fold_left
-    (fun acc a -> if Aba.decision a = Some true then acc + 1 else acc)
+    (fun acc a -> match Aba.decision a with Some true -> acc + 1 | Some false | None -> acc)
     0 s.aba
 
-let all_decided s = Array.for_all (fun a -> Aba.decision a <> None) s.aba
+let all_decided s = Array.for_all (fun a -> Option.is_some (Aba.decision a)) s.aba
 
 (* Propose [v] to aba.(j) if we have not proposed yet. *)
 let propose s j v =

@@ -125,11 +125,10 @@ let cache_size () = List.length !(Domain.DLS.get memo_dls)
 let process_of_engine p ~me ~type_ engine =
   let spec = p.spec in
   let emit (r : Engine.reaction) =
-    List.map (fun (dst, m) -> Send (dst, m)) r.Engine.sends
-    @
+    let sends = List.map (fun (dst, m) -> Send (dst, m)) r.Engine.sends in
     match r.Engine.result with
-    | Some v -> [ Move (spec.Spec.decode_action ~player:me v); Halt ]
-    | None -> []
+    | Some v -> sends @ [ Move (spec.Spec.decode_action ~player:me v); Halt ]
+    | None -> sends
   in
   let will () =
     (* A will only matters while the player has not moved; once the engine

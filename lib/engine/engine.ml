@@ -205,7 +205,7 @@ let run ?(backend = Transport.Backend.Sim) ?(shards = 1) ?(inflight = 16)
   if checkpoint_every < 1 then
     invalid_arg
       (Printf.sprintf "Engine.run: checkpoint_every must be > 0 (got %d)" checkpoint_every);
-  if resume && journal = None then
+  if resume && Option.is_none journal then
     invalid_arg "Engine.run: ~resume requires a ~journal directory";
   (match journal with
   | None -> ()

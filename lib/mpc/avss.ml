@@ -18,6 +18,7 @@ type t = {
   faults : int; (* max Byzantine players the quorums must absorb *)
   me : int;
   dealer : int;
+  others : int list; (* every pid but [me], ascending *)
   mutable row : Poly.t option;
   mutable row_received : bool; (* a Row message was already processed *)
   mutable points_sent : bool;
@@ -39,6 +40,9 @@ type reaction = {
 
 let nothing = { sends = []; accepted = None }
 
+(* [a @ b], without copying [a] when [b] is empty (the usual case). *)
+let append a b = match b with [] -> a | _ :: _ -> a @ b
+
 let create ~n ~degree ~faults ~me ~dealer =
   if n <= 3 * faults then invalid_arg "Avss.create: need n > 3*faults";
   if n < degree + (2 * faults) + 1 then
@@ -50,6 +54,7 @@ let create ~n ~degree ~faults ~me ~dealer =
     faults;
     me;
     dealer;
+    others = List.filter (fun i -> i <> me) (List.init n Fun.id);
     row = None;
     row_received = false;
     points_sent = false;
@@ -63,8 +68,6 @@ let create ~n ~degree ~faults ~me ~dealer =
 
 let share s = s.accepted_share
 let is_accepted s = Option.is_some s.accepted_share
-
-let others s = List.filter (fun i -> i <> s.me) (List.init s.n (fun i -> i))
 
 (* Points from others claimed to equal our row at their index (1-based
    evaluation points: player i evaluates at i+1). *)
@@ -83,7 +86,7 @@ let send_points s row =
   if s.points_sent then []
   else begin
     s.points_sent <- true;
-    List.map (fun j -> (j, Point (Poly.eval row (point_of s j)))) (others s)
+    List.map (fun j -> (j, Point (Poly.eval row (point_of s j)))) s.others
   end
 
 let send_ready s =
@@ -94,7 +97,7 @@ let send_ready s =
       s.ready.(s.me) <- true;
       s.n_ready <- s.n_ready + 1
     end;
-    List.map (fun j -> (j, Ready)) (others s)
+    List.map (fun j -> (j, Ready)) s.others
   end
 
 let ready_count s = s.n_ready
@@ -141,16 +144,16 @@ let progress s =
         match try_recover_row s with
         | Some row ->
             s.row <- Some row;
-            sends := send_points s row @ !sends
+            sends := append (send_points s row) !sends
         | None -> ())
   | Some _ -> ());
   (match s.row with
   | Some row ->
       let m = matching_points s row in
-      if m >= s.deg + s.faults + 1 then sends := send_ready s @ !sends
+      if m >= s.deg + s.faults + 1 then sends := append (send_ready s) !sends
       else if m >= s.deg + 1 && ready_count s >= s.faults + 1 then
         (* READY amplification: enough corroboration plus t+1 announcements *)
-        sends := send_ready s @ !sends
+        sends := append (send_ready s) !sends
   | None -> ());
   let accepted =
     match (s.accepted_share, s.row) with
@@ -170,11 +173,11 @@ let deal s rng ~secret =
   let my_row = Bipoly.row b (point_of s s.me) in
   s.row <- Some my_row;
   let row_sends =
-    List.map (fun j -> (j, Row (Bipoly.row b (point_of s j)))) (others s)
+    List.map (fun j -> (j, Row (Bipoly.row b (point_of s j)))) s.others
   in
   let pt_sends = send_points s my_row in
   let r = progress s in
-  { r with sends = row_sends @ pt_sends @ r.sends }
+  { r with sends = row_sends @ append pt_sends r.sends }
 
 let handle s ~src m =
   match m with
@@ -191,7 +194,7 @@ let handle s ~src m =
             match s.row with Some r -> send_points s r | None -> []
           in
           let r = progress s in
-          { r with sends = sends @ r.sends }
+          { r with sends = append sends r.sends }
         end
       end
   | Point p ->

@@ -59,7 +59,7 @@ type t = {
   rand_shares : Gf.t option array;
   gate_shares : Gf.t option array;
   muls : mul_state array; (* mul_pos-indexed *)
-  mul_gate_ids : int list;
+  mul_gates : int array; (* dense mul-gate position -> gate index *)
   stages : int array array; (* per stage: one output gate per player *)
   stage_sent : bool array;
   output_points : Gf.t option array; (* stage*n + src -> share of MY stage output *)
@@ -120,10 +120,8 @@ let create ?stages ~n ~degree ~faults ~me ~circuit ~input ~rng ~coin_seed () =
     rand_shares = Array.make n_random None;
     gate_shares = Array.make n_gates None;
     muls = Array.init n_mul (fun _ -> { started = false; reduced = false });
-    mul_gate_ids =
-      List.filter
-        (fun i -> mul_pos.(i) >= 0)
-        (List.init n_gates (fun i -> i));
+    mul_gates =
+      Array.of_list (List.filter (fun i -> mul_pos.(i) >= 0) (List.init n_gates Fun.id));
     stages;
     stage_sent = Array.make (Array.length stages) false;
     output_points = Array.make (Array.length stages * n) None;
@@ -137,7 +135,7 @@ let create ?stages ~n ~degree ~faults ~me ~circuit ~input ~rng ~coin_seed () =
    they are the dominant per-player setup allocation: n*(1+R+M) AVSS
    session slots plus votes, shares and stage points). What stays:
    everything derived from the static shape — n, degree, faults, me,
-   the circuit, mul_pos/mul_gate_ids, the stage layout — which is why a
+   the circuit, mul_pos/mul_gates, the stage layout — which is why a
    reset engine is only valid for a new session of the SAME plan (the
    caller guarantees the circuit/stages are unchanged; Compile.Pool
    does). AVSS/ABA sub-states drop to None and are recreated on demand,
@@ -235,14 +233,13 @@ let propose e vid value =
   end
 
 let decision_at e i = match e.votes.(i) with None -> None | Some v -> Aba.decision v
+let decided_yes e i = match decision_at e i with Some true -> true | Some false | None -> false
 
 let session_accepted_at e i =
   match e.sessions.(i) with None -> false | Some s -> Avss.is_accepted s
 
 let session_share_at e i =
   match e.sessions.(i) with None -> None | Some s -> Avss.share s
-
-let session_share e sid = session_share_at e (session_index e sid)
 
 (* Dealer d's input bundle: its input sharing plus every randomness
    contribution (contiguous session indices d, n+d, 2n+d, ...). *)
@@ -255,8 +252,14 @@ let bundle_accepted e d =
   done;
   !ok
 
-let mul_gates e = e.mul_gate_ids
 let mul_state e g = e.muls.(e.mul_pos.(g))
+
+let all_shares_in e outs =
+  let ok = ref true in
+  for i = 0 to Array.length outs - 1 do
+    if Option.is_none e.gate_shares.(outs.(i)) then ok := false
+  done;
+  !ok
 
 (* --- the cascade: run all progress rules to a local fixpoint --- *)
 
@@ -265,7 +268,7 @@ let mul_state e g = e.muls.(e.mul_pos.(g))
 let count_yes_block e ~base =
   let acc = ref 0 in
   for d = 0 to e.n - 1 do
-    if decision_at e (base + d) = Some true then incr acc
+    if decided_yes e (base + d) then incr acc
   done;
   !acc
 
@@ -276,18 +279,39 @@ let all_decided_block e ~base =
   done;
   !ok
 
+(* The share of a non-multiplication gate, once its operands are in. *)
+let local_gate e core = function
+  | Circuit.Input d ->
+      (* an excluded dealer's input defaults to 0 *)
+      if List.mem d core then session_share_at e d else Some Gf.zero
+  | Circuit.Random k -> e.rand_shares.(k)
+  | Circuit.Const c ->
+      (* constants are a valid degree-0 sharing of themselves *)
+      Some c
+  | Circuit.Add (a, b) -> (
+      match (e.gate_shares.(a), e.gate_shares.(b)) with
+      | Some va, Some vb -> Some (Gf.add va vb)
+      | _ -> None)
+  | Circuit.Sub (a, b) -> (
+      match (e.gate_shares.(a), e.gate_shares.(b)) with
+      | Some va, Some vb -> Some (Gf.sub va vb)
+      | _ -> None)
+  | Circuit.Scale (c, a) -> (
+      match e.gate_shares.(a) with Some va -> Some (Gf.mul c va) | None -> None)
+  | Circuit.Mul _ -> None
+
 let settle e =
   let chunks = ref [] in
   let progressed = ref true in
+  let step sends =
+    match sends with
+    | [] -> ()
+    | _ ->
+        progressed := true;
+        chunks := sends :: !chunks
+  in
   while !progressed do
     progressed := false;
-    let step sends =
-      match sends with
-      | [] -> ()
-      | _ ->
-          progressed := true;
-          chunks := sends :: !chunks
-    in
 
     (* Propose YES for input dealers whose whole bundle we accepted. *)
     for d = 0 to e.n - 1 do
@@ -307,8 +331,7 @@ let settle e =
     | None ->
         if all_decided_block e ~base:0 then begin
           let yes =
-            List.filter (fun d -> decision_at e d = Some true)
-              (List.init e.n (fun d -> d))
+            List.filter (decided_yes e) (List.init e.n (fun d -> d))
           in
           if List.for_all (bundle_accepted e) yes then begin
             e.core <- Some yes;
@@ -332,180 +355,163 @@ let settle e =
     (match e.core with
     | None -> ()
     | Some core ->
-        Array.iteri
-          (fun gi gate ->
-            if Option.is_none e.gate_shares.(gi) then begin
-              let value v = e.gate_shares.(gi) <- Some v; progressed := true in
-              let ready j = e.gate_shares.(j) in
-              match gate with
-              | Circuit.Input d ->
-                  if List.mem d core then begin
-                    match session_share e (Input_share d) with
-                    | Some v -> value v
-                    | None -> ()
-                  end
-                  else value Gf.zero (* excluded dealer: default input 0 *)
-              | Circuit.Random k -> (
-                  match e.rand_shares.(k) with Some v -> value v | None -> ())
-              | Circuit.Const c ->
-                  (* constants are a valid degree-0 sharing of themselves *)
-                  value c
-              | Circuit.Add (a, b) -> (
-                  match (ready a, ready b) with
-                  | Some va, Some vb -> value (Gf.add va vb)
-                  | _ -> ())
-              | Circuit.Sub (a, b) -> (
-                  match (ready a, ready b) with
-                  | Some va, Some vb -> value (Gf.sub va vb)
-                  | _ -> ())
-              | Circuit.Scale (c, a) -> (
-                  match ready a with Some va -> value (Gf.mul c va) | None -> ())
-              | Circuit.Mul (a, b) -> (
-                  let st = mul_state e gi in
-                  match (ready a, ready b) with
-                  | Some va, Some vb ->
-                      if not st.started then begin
-                        st.started <- true;
-                        (* Reshare our degree-2t product share. *)
-                        let sid = Mul_share (gi, e.me) in
-                        let r =
-                          Avss.deal (session e sid) e.rng ~secret:(Gf.mul va vb)
-                        in
-                        step (wrap_share sid r.Avss.sends)
-                      end
-                  | _ -> ())
-            end)
-          e.circuit.Circuit.gates;
+        let gates = e.circuit.Circuit.gates in
+        for gi = 0 to Array.length gates - 1 do
+          if Option.is_none e.gate_shares.(gi) then
+            match gates.(gi) with
+            | Circuit.Mul (a, b) -> (
+                let st = mul_state e gi in
+                match (e.gate_shares.(a), e.gate_shares.(b)) with
+                | Some va, Some vb ->
+                    if not st.started then begin
+                      st.started <- true;
+                      (* Reshare our degree-2t product share. *)
+                      let sid = Mul_share (gi, e.me) in
+                      let r =
+                        Avss.deal (session e sid) e.rng ~secret:(Gf.mul va vb)
+                      in
+                      step (wrap_share sid r.Avss.sends)
+                    end
+                | _ -> ())
+            | gate -> (
+                match local_gate e core gate with
+                | Some _ as v ->
+                    e.gate_shares.(gi) <- v;
+                    progressed := true
+                | None -> ())
+        done;
 
         (* Multiplication reductions in flight. *)
-        List.iter
-          (fun gi ->
-            let st = mul_state e gi in
-            if st.started && not st.reduced then begin
-              let vote_base = e.n + (e.mul_pos.(gi) * e.n) in
-              let share_base =
-                (e.n * (1 + e.circuit.Circuit.n_random)) + (e.mul_pos.(gi) * e.n)
-              in
-              (* Vote YES for contributors whose resharing we accepted. *)
+        for m = 0 to Array.length e.muls - 1 do
+          let gi = e.mul_gates.(m) in
+          let st = e.muls.(m) in
+          if st.started && not st.reduced then begin
+            let vote_base = e.n + (e.mul_pos.(gi) * e.n) in
+            let share_base =
+              (e.n * (1 + e.circuit.Circuit.n_random)) + (e.mul_pos.(gi) * e.n)
+            in
+            (* Vote YES for contributors whose resharing we accepted. *)
+            for d = 0 to e.n - 1 do
+              if (not e.proposed.(vote_base + d)) && session_accepted_at e (share_base + d)
+              then step (propose e (Mul_vote (gi, d)) true)
+            done;
+            (* Close-out once enough contributors for a degree-2d
+               interpolation are in. *)
+            if count_yes_block e ~base:vote_base >= (2 * e.deg) + 1 then
               for d = 0 to e.n - 1 do
-                if (not e.proposed.(vote_base + d)) && session_accepted_at e (share_base + d)
-                then step (propose e (Mul_vote (gi, d)) true)
+                if not e.proposed.(vote_base + d) then
+                  step (propose e (Mul_vote (gi, d)) false)
               done;
-              (* Close-out once enough contributors for a degree-2d
-                 interpolation are in. *)
-              if count_yes_block e ~base:vote_base >= (2 * e.deg) + 1 then
-                for d = 0 to e.n - 1 do
-                  if not e.proposed.(vote_base + d) then
-                    step (propose e (Mul_vote (gi, d)) false)
-                done;
-              (* Reduction: all votes decided, all YES resharings in hand. *)
-              if all_decided_block e ~base:vote_base then begin
-                let contributors =
-                  List.filter
-                    (fun d -> decision_at e (vote_base + d) = Some true)
-                    (List.init e.n (fun d -> d))
+            (* Reduction: all votes decided, all YES resharings in hand. *)
+            if all_decided_block e ~base:vote_base then begin
+              let contributors =
+                List.filter
+                  (fun d -> decided_yes e (vote_base + d))
+                  (List.init e.n (fun d -> d))
+              in
+              if
+                List.length contributors >= (2 * e.deg) + 1
+                && List.for_all
+                     (fun d -> session_accepted_at e (share_base + d))
+                     contributors
+              then begin
+                let lambda =
+                  Shamir.lagrange_at_zero (List.map (fun d -> d + 1) contributors)
                 in
-                if
-                  List.length contributors >= (2 * e.deg) + 1
-                  && List.for_all
-                       (fun d -> session_accepted_at e (share_base + d))
-                       contributors
-                then begin
-                  let lambda =
-                    Shamir.lagrange_at_zero (List.map (fun d -> d + 1) contributors)
-                  in
-                  let share =
-                    List.fold_left
-                      (fun s d ->
-                        let coeff = List.assoc (d + 1) lambda in
-                        match session_share_at e (share_base + d) with
-                        | Some v -> Gf.add s (Gf.mul coeff v)
-                        | None -> s)
-                      Gf.zero contributors
-                  in
-                  st.reduced <- true;
-                  e.gate_shares.(gi) <- Some share;
-                  progressed := true
-                end
+                let share =
+                  List.fold_left
+                    (fun s d ->
+                      let coeff = List.assoc (d + 1) lambda in
+                      match session_share_at e (share_base + d) with
+                      | Some v -> Gf.add s (Gf.mul coeff v)
+                      | None -> s)
+                    Gf.zero contributors
+                in
+                st.reduced <- true;
+                e.gate_shares.(gi) <- Some share;
+                progressed := true
               end
-            end)
-          (mul_gates e));
+            end
+          end
+        done);
 
     (* Output dispatch, stage by stage: stage s output shares go out only
        once our own stage s-1 value is reconstructed (the mediator's s-th
        message follows its (s-1)-th). *)
-    Array.iteri
-      (fun si outs ->
-        if
-          (not e.stage_sent.(si))
-          && (si = 0 || Option.is_some e.stage_results.(si - 1))
-          && Array.for_all (fun gi -> Option.is_some e.gate_shares.(gi)) outs
-        then begin
-          e.stage_sent.(si) <- true;
-          let sends =
-            List.filter_map
-              (fun o ->
-                match e.gate_shares.(outs.(o)) with
-                | Some v ->
-                    if o = e.me then begin
-                      if Option.is_none e.output_points.((si * e.n) + e.me) then begin
-                        e.output_points.((si * e.n) + e.me) <- Some v;
-                        e.stage_npoints.(si) <- e.stage_npoints.(si) + 1
-                      end;
-                      None
-                    end
-                    else Some (o, Output_msg (si, v))
-                | None -> None)
-              (List.init e.n (fun o -> o))
-          in
-          step sends
-        end)
-      e.stages;
+    for si = 0 to Array.length e.stages - 1 do
+      let outs = e.stages.(si) in
+      if
+        (not e.stage_sent.(si))
+        && (si = 0 || Option.is_some e.stage_results.(si - 1))
+        && all_shares_in e outs
+      then begin
+        e.stage_sent.(si) <- true;
+        let sends =
+          List.filter_map
+            (fun o ->
+              match e.gate_shares.(outs.(o)) with
+              | Some v ->
+                  if o = e.me then begin
+                    if Option.is_none e.output_points.((si * e.n) + e.me) then begin
+                      e.output_points.((si * e.n) + e.me) <- Some v;
+                      e.stage_npoints.(si) <- e.stage_npoints.(si) + 1
+                    end;
+                    None
+                  end
+                  else Some (o, Output_msg (si, v))
+              | None -> None)
+            (List.init e.n (fun o -> o))
+        in
+        step sends
+      end
+    done;
 
     (* Stage reconstruction via online error correction. The point arrays
        are only materialised once enough shares are in for the e = 0
        attempt to be admissible (r >= 2t+1). *)
-    Array.iteri
-      (fun si r ->
-        match r with
-        | Some _ -> ()
-        | None ->
-            let npts = e.stage_npoints.(si) in
-            if npts >= (2 * e.deg) + 1 then begin
-              let idx = Array.make npts 0 in
-              let ys = Array.make npts Gf.zero in
-              let i = ref 0 in
-              for src = 0 to e.n - 1 do
-                match e.output_points.((si * e.n) + src) with
-                | Some v ->
-                    idx.(!i) <- src + 1;
-                    ys.(!i) <- v;
-                    incr i
-                | None -> ()
-              done;
-              (* Reveals are robust up to the sharing degree: rational
-                 players may corrupt their shares even when the fault budget
-                 is lower, and n >= 3*degree + 1 regimes must absorb that
-                 (Theorem 4.4's cotermination argument). *)
-              match
-                Shamir.online_decode_arrays ~t:e.deg ~max_faults:(max e.deg e.faults) idx ys
-              with
+    for si = 0 to Array.length e.stage_results - 1 do
+      match e.stage_results.(si) with
+      | Some _ -> ()
+      | None ->
+          let npts = e.stage_npoints.(si) in
+          if npts >= (2 * e.deg) + 1 then begin
+            let idx = Array.make npts 0 in
+            let ys = Array.make npts Gf.zero in
+            let i = ref 0 in
+            for src = 0 to e.n - 1 do
+              match e.output_points.((si * e.n) + src) with
               | Some v ->
-                  e.stage_results.(si) <- Some v;
-                  if si = Array.length e.stages - 1 then e.result <- Some v;
-                  progressed := true
+                  idx.(!i) <- src + 1;
+                  ys.(!i) <- v;
+                  incr i
               | None -> ()
-            end)
-      e.stage_results
+            done;
+            (* Reveals are robust up to the sharing degree: rational
+               players may corrupt their shares even when the fault budget
+               is lower, and n >= 3*degree + 1 regimes must absorb that
+               (Theorem 4.4's cotermination argument). *)
+            match
+              Shamir.online_decode_arrays ~t:e.deg ~max_faults:(max e.deg e.faults) idx ys
+            with
+            | Some v ->
+                e.stage_results.(si) <- Some v;
+                if si = Array.length e.stages - 1 then e.result <- Some v;
+                progressed := true
+            | None -> ()
+          end
+    done
   done;
   List.concat (List.rev !chunks)
 
+(* [chunks] accumulates send lists newest first; one [List.concat] at
+   the end keeps every send in emission order without re-copying the
+   prefix per chunk. *)
 let start (e : t) =
-  let sends = ref [] in
+  let chunks = ref [] in
   (* Deal our input and randomness contributions. *)
   let deal sid secret =
     let r = Avss.deal (session e sid) e.rng ~secret in
-    sends := !sends @ wrap_share sid r.Avss.sends
+    chunks := wrap_share sid r.Avss.sends :: !chunks
   in
   deal (Input_share e.me) e.input;
   for k = 0 to e.circuit.Circuit.n_random - 1 do
@@ -518,22 +524,32 @@ let start (e : t) =
   let before = e.result in
   let more = settle e in
   let result = match (before, e.result) with None, Some v -> Some v | _ -> None in
-  { sends = !sends @ more; result }
+  { sends = List.concat (List.rev (more :: !chunks)); result }
 
+(* Settle on change. [settle] is at its fixpoint whenever [start] or
+   [handle] returns, and its rules read only (a) state [settle] itself
+   writes, (b) AVSS acceptance and shares, (c) ABA decisions and the
+   output points. Outside [settle] exactly three events move (b) or
+   (c): an AVSS session accepting, an ABA instance deciding, and an
+   output share recording a new point. Any other message leaves every
+   rule where the last fixpoint put it, so [settle] would return [] and
+   write nothing; it runs only after one of the three. *)
 let handle (e : t) ~src m =
-  let before = e.result in
+  let moved = ref false in
   let sends =
     match m with
     | Share_msg (sid, sub) ->
         if session_index e sid < 0 then []
         else begin
           let r = Avss.handle (session e sid) ~src sub in
+          moved := Option.is_some r.Avss.accepted;
           wrap_share sid r.Avss.sends
         end
     | Vote_msg (vid, sub) ->
         if vote_index e vid < 0 then []
         else begin
           let r = Aba.handle (vote e vid) ~src sub in
+          moved := Option.is_some r.Aba.decided;
           wrap_vote vid r.Aba.sends
         end
     | Output_msg (stage, v) ->
@@ -544,13 +560,18 @@ let handle (e : t) ~src m =
           && Option.is_none e.output_points.((stage * e.n) + src)
         then begin
           e.output_points.((stage * e.n) + src) <- Some v;
-          e.stage_npoints.(stage) <- e.stage_npoints.(stage) + 1
+          e.stage_npoints.(stage) <- e.stage_npoints.(stage) + 1;
+          moved := true
         end;
         []
   in
-  let more = settle e in
-  let result = match (before, e.result) with None, Some v -> Some v | _ -> None in
-  { sends = sends @ more; result }
+  if not !moved then { sends; result = None }
+  else begin
+    let before = e.result in
+    let more = settle e in
+    let result = match (before, e.result) with None, Some v -> Some v | _ -> None in
+    { sends = (match more with [] -> sends | _ :: _ -> sends @ more); result }
+  end
 
 let result (e : t) = e.result
 let stage_results (e : t) = Array.copy e.stage_results

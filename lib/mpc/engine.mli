@@ -96,6 +96,18 @@ val start : t -> reaction
 (** Kick off the input phase (call from the process start signal). *)
 
 val handle : t -> src:int -> msg -> reaction
+(** Deliver one message. The progress rules ({!settle}) run only when the
+    message accepted an AVSS sharing, decided an ABA instance or recorded
+    a new output point — the only outside events their predicates read
+    (DESIGN.md section 12). *)
+
+val settle : t -> (int * msg) list
+(** Run every progress rule (proposals, core, gates, multiplication
+    reductions, output dispatch, reconstruction) to a local fixpoint and
+    return the sends, in order. [start] and [handle] already leave the
+    engine at this fixpoint, so at rest [settle] returns [] and leaves
+    {!digest} unchanged; it is exposed so tests can hold the engine to
+    that. *)
 
 val result : t -> Field.Gf.t option
 

@@ -5,8 +5,9 @@
 # been the dominant cost in a profile (Games.Dist, Step.state_hash,
 # the engine's profile table); after each audit we pin the fix here.
 #
-# Scope: lib/engine, lib/store, lib/wire — the per-session / per-record
-# hot paths. Checks:
+# Scope: lib/engine, lib/store, lib/wire, lib/mpc, lib/agreement — the
+# per-session / per-record hot paths and the MPC receive path under
+# them. Checks:
 #   1. no bare `compare` passed as a function (use Int.compare /
 #      String.compare / a monomorphic cmp);
 #   2. no Stdlib.compare / Stdlib.( = ) / Hashtbl.hash;
@@ -14,15 +15,28 @@
 #      — use a Hashtbl.Make functor instance keyed monomorphically.
 #      (Hashtbl.Make itself and Hashtbl.hash_param in explicitly
 #      deep-digest code are allowed.)
+#   4. no polymorphic (in)equality against an option constructor
+#      (`x = Some true`, `x <> None`, `... && x = None`) — match on the
+#      option or use Option.is_some / Option.is_none.
+#
+# Exemption: Agreement.Coin.common's seeded Hashtbl.hash. It defines the
+# value of every common coin (which round a vote decides in), so any
+# other hash would change every cheap-talk history and every digest
+# pinned on one; it runs once per ABA round past the second, not per
+# message.
 set -eu
 cd "$(dirname "$0")/.."
+
+dirs="lib/engine lib/store lib/wire lib/mpc lib/agreement"
+coin_exemption='^lib/agreement/coin\.ml:[0-9]+:let common ~seed ~instance ~round = Hashtbl\.hash \(seed, instance, round, "coin"\)'
 
 fail=0
 scan() {
     pattern="$1"; msg="$2"
     # strip OCaml comment lines to keep docs free to mention the names
-    hits=$(grep -rnE "$pattern" lib/engine lib/store lib/wire --include='*.ml' \
-        | grep -vE '^\s*[^:]*:[0-9]+:\s*\(\*' | grep -vE '\(\*.*\*\)\s*$' || true)
+    hits=$(grep -rnE "$pattern" $dirs --include='*.ml' \
+        | grep -vE '^\s*[^:]*:[0-9]+:\s*\(\*' | grep -vE '\(\*.*\*\)\s*$' \
+        | grep -vE "$coin_exemption" || true)
     if [ -n "$hits" ]; then
         echo "poly-compare guard: $msg" >&2
         echo "$hits" >&2
@@ -36,8 +50,10 @@ scan 'Stdlib\.compare|Stdlib\.\(=\)|Hashtbl\.hash[^_]' \
     'Stdlib.compare / polymorphic Hashtbl.hash'
 scan 'Hashtbl\.(create|add|find|find_opt|replace|remove|mem|iter|fold|length|reset|clear)[[:space:]]' \
     'generic Hashtbl operations on a hot path (use Hashtbl.Make keyed monomorphically)'
+scan '<>[[:space:]]*(Some|None)([^A-Za-z_]|$)|=[[:space:]]*Some[[:space:]]+(true|false)([^A-Za-z_]|$)|\)[[:space:]]*=[[:space:]]*(Some|None)([^A-Za-z_]|$)|(if|&&|\|\||not)[[:space:]]+[A-Za-z_.'"'"']+[[:space:]]*=[[:space:]]*(Some|None)([^A-Za-z_]|$)' \
+    'polymorphic equality against an option constructor (match on it, or Option.is_some/is_none)'
 
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "poly-compare guard: lib/engine lib/store lib/wire clean"
+echo "poly-compare guard: $dirs clean (exempt: Agreement.Coin.common's seeded hash)"

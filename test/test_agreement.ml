@@ -110,7 +110,9 @@ let test_local_coin_terminates () =
 
 let test_validation () =
   Alcotest.check_raises "n <= 3f" (Invalid_argument "Aba.create: need n > 3f") (fun () ->
-      ignore (Aba.create ~n:3 ~f:1 ~me:0 ~coin:(common_coin 1)))
+      ignore (Aba.create ~n:3 ~f:1 ~me:0 ~coin:(common_coin 1)));
+  Alcotest.check_raises "me out of range" (Invalid_argument "Aba.create: pid range") (fun () ->
+      ignore (Aba.create ~n:4 ~f:1 ~me:4 ~coin:(common_coin 1)))
 
 (* --- ACS --- *)
 
@@ -175,6 +177,73 @@ let test_acs_with_crash () =
         [ 0; 1; 2 ])
     (List.init 10 (fun i -> i))
 
+(* --- input validation and per-sender counting, driven by hand --- *)
+
+let bval r v = Aba.Bval { round = r; value = v }
+let aux r v = Aba.Aux { round = r; value = v }
+
+(* Feed [msgs] (src, msg) to [a]; collect every send and decision. *)
+let feed a msgs =
+  List.fold_left
+    (fun (sends, dec) (src, m) ->
+      let r = Aba.handle a ~src m in
+      (sends @ r.Aba.sends, match r.Aba.decided with Some v -> Some v | None -> dec))
+    ([], None) msgs
+
+let test_out_of_range_senders_ignored () =
+  let n = 4 and f = 1 in
+  let mk () = Aba.create ~n ~f ~me:0 ~coin:(Coin.constant true) in
+  let bad = [ -1; 4; 5; 99 ] in
+  (* f+1 = 2 DECIDEs would decide; from outside [0, n) they count nothing *)
+  let a = mk () in
+  let sends, dec = feed a (List.map (fun src -> (src, Aba.Decide true)) bad) in
+  Alcotest.(check (option bool)) "no decision from bad senders" None dec;
+  Alcotest.(check (option bool)) "state undecided" None (Aba.decision a);
+  Alcotest.(check int) "no DECIDE echo" 0 (List.length sends);
+  Alcotest.(check bool) "not halted" false (Aba.halted a);
+  (* f+1 BVALs would make us echo; 2f+1 would enter bin_values *)
+  let a = mk () in
+  let sends, _ = feed a (List.map (fun src -> (src, bval 1 true)) bad) in
+  Alcotest.(check int) "no BVAL echo for bad senders" 0 (List.length sends);
+  (* rounds below 1 are never entered by an honest player *)
+  let a = mk () in
+  let sends, _ =
+    feed a (List.concat_map (fun src -> [ (src, bval 0 true); (src, aux 0 true) ]) [ 1; 2; 3 ])
+  in
+  Alcotest.(check int) "round 0 ignored" 0 (List.length sends);
+  let sends, _ = feed a (List.map (fun src -> (src, bval (-3) false)) [ 1; 2; 3 ]) in
+  Alcotest.(check int) "negative round ignored" 0 (List.length sends);
+  (* the instance still works normally afterwards *)
+  let sends, _ = feed a [ (1, bval 1 true); (2, bval 1 true) ] in
+  Alcotest.(check bool) "valid senders still count" true (sends <> [])
+
+let test_duplicates_count_once () =
+  let n = 4 and f = 1 in
+  (* BVAL: one sender repeating itself is still one sender (f+1 = 2) *)
+  let a = Aba.create ~n ~f ~me:0 ~coin:(Coin.constant true) in
+  let sends, _ = feed a [ (1, bval 1 true); (1, bval 1 true); (1, bval 1 true) ] in
+  Alcotest.(check int) "repeated BVAL: no echo" 0 (List.length sends);
+  let sends, _ = feed a [ (2, bval 1 true) ] in
+  Alcotest.(check bool) "second sender: echo" true
+    (List.exists (function _, Aba.Bval { round = 1; value = true } -> true | _ -> false) sends);
+  (* AUX: round 1 completes at n-f = 3 AUX values inside bin_values *)
+  let a = Aba.create ~n ~f ~me:0 ~coin:(Coin.constant true) in
+  ignore (Aba.propose a true);
+  let _ = feed a [ (1, bval 1 true); (2, bval 1 true) ] in
+  let _, dec = feed a [ (1, aux 1 true); (1, aux 1 true); (1, aux 1 false) ] in
+  Alcotest.(check (option bool)) "repeated AUX: no completion" None dec;
+  Alcotest.(check int) "still round 1" 1 (Aba.round a);
+  let _, dec = feed a [ (2, aux 1 true) ] in
+  Alcotest.(check (option bool)) "third sender completes and decides" (Some true) dec;
+  (* DECIDE: f+1 = 2 distinct senders decide *)
+  let a = Aba.create ~n ~f ~me:0 ~coin:(Coin.constant true) in
+  let sends, dec = feed a [ (1, Aba.Decide false); (1, Aba.Decide false) ] in
+  Alcotest.(check (option bool)) "repeated DECIDE: no decision" None dec;
+  Alcotest.(check int) "repeated DECIDE: no echo" 0 (List.length sends);
+  let _, dec = feed a [ (2, Aba.Decide false) ] in
+  Alcotest.(check (option bool)) "second sender decides" (Some false) dec;
+  Alcotest.(check bool) "halts at n-f DECIDEs (ours included)" true (Aba.halted a)
+
 let () =
   Alcotest.run "agreement"
     [
@@ -186,6 +255,9 @@ let () =
           Alcotest.test_case "crash tolerance" `Quick test_crash_tolerance;
           Alcotest.test_case "local coin" `Quick test_local_coin_terminates;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "out-of-range senders ignored" `Quick
+            test_out_of_range_senders_ignored;
+          Alcotest.test_case "duplicates count once" `Quick test_duplicates_count_once;
         ] );
       ( "acs",
         [

@@ -276,6 +276,113 @@ let test_pool_with_wills_matches_fresh () =
       (outcome_repr fresh) (outcome_repr pooled)
   done
 
+(* --- settle at rest: the invariant Mpc.Engine.handle relies on --- *)
+
+(* [handle] runs the progress fixpoint only after an AVSS acceptance, an
+   ABA decision or a new output point; that is sound only if [start] and
+   [handle] always return at the fixpoint. Drive compiled sessions with
+   engines built as Compile builds them, and after every activation run
+   one more [settle]: it must send nothing and leave the digest as it
+   was. Sessions cover random seeds and schedulers, a fault plan with
+   the corrupt-fuzz hook, and a Byzantine player. *)
+
+let settle_probe p ~me ~seed ~disturbed =
+  let spec = p.Compile.spec in
+  let n = spec.Spec.game.Games.Game.n in
+  let e =
+    Mpc.Engine.create ?stages:spec.Spec.stages ~n ~degree:p.Compile.degree
+      ~faults:p.Compile.faults ~me ~circuit:spec.Spec.circuit
+      ~input:(spec.Spec.encode_type ~player:me (seed land 1))
+      ~rng:(Random.State.make [| 0xC0DE; seed; me |])
+      ~coin_seed:(seed * 7919) ()
+  in
+  let emit (r : Mpc.Engine.reaction) =
+    let d = Mpc.Engine.digest e in
+    (match Mpc.Engine.settle e with
+    | [] -> if Mpc.Engine.digest e <> d then incr disturbed
+    | _ :: _ -> incr disturbed);
+    List.map (fun (dst, m) -> Sim.Types.Send (dst, m)) r.Mpc.Engine.sends
+    @
+    match r.Mpc.Engine.result with
+    | Some v -> [ Sim.Types.Move (spec.Spec.decode_action ~player:me v); Sim.Types.Halt ]
+    | None -> []
+  in
+  Sim.Types.
+    {
+      start = (fun () -> emit (Mpc.Engine.start e));
+      receive = (fun ~src m -> emit (Mpc.Engine.handle e ~src m));
+      will = (fun () -> None);
+    }
+
+let settle_faults =
+  Faults.make ~dup:0.05 ~corrupt:0.1 ~delay:0.08 ~crash:0.2 ~delay_decisions:40
+    ~crash_window:12 ()
+
+let prop_settle_at_rest =
+  QCheck.Test.make ~count:24 ~name:"an extra settle after start/handle is a no-op"
+    QCheck.(quad (int_bound 10_000) (int_bound 3) (int_bound 3) bool)
+    (fun (seed, sched, mode, majority) ->
+      let p =
+        if majority then
+          Compile.plan_exn ~spec:(Spec.majority_coordination ~n:5) ~theorem:Compile.T41 ~k:1
+            ~t:0 ()
+        else Compile.plan_exn ~spec:(Spec.coordination ~n:5) ~theorem:Compile.T41 ~k:0 ~t:1 ()
+      in
+      let disturbed = ref 0 in
+      let procs = Array.init 5 (fun me -> settle_probe p ~me ~seed ~disturbed) in
+      (* mode 0: honest; 1: fault plan + fuzz; 2, 3: a Byzantine player 4 *)
+      (match mode with
+      | 2 -> procs.(4) <- Adversary.Byzantine.corrupt_output_shares ~offset:Field.Gf.one procs.(4)
+      | 3 -> procs.(4) <- Adversary.Byzantine.corrupt_avss_points ~offset:Field.Gf.one procs.(4)
+      | _ -> ());
+      let scheduler =
+        match sched with
+        | 0 -> Sim.Scheduler.fifo ()
+        | 1 -> Sim.Scheduler.lifo ()
+        | 2 -> Sim.Scheduler.round_robin ()
+        | _ -> Sim.Scheduler.random_seeded seed
+      in
+      let faults = if mode = 1 then Some (Faults.Plan.make ~seed settle_faults) else None in
+      let o =
+        Sim.Runner.run (Sim.Runner.config ~scheduler ?faults ~fuzz:Verify.fuzz_msg procs)
+      in
+      o.Sim.Types.messages_sent > 0 && !disturbed = 0)
+
+(* --- the compiled session's allocation, gated in tier-1 --- *)
+
+(* GC words (minor + major - promoted, as Engine.words_per_session counts
+   them) for one warm Theorem 4.1 coordination n=5 session at a fixed
+   seed through Engine.run with recycling on. The figure is a count,
+   not a timing, so it needs no noise band: it measured 416,500 to
+   418,500 words when the ceiling was set, and about 455,000 with the
+   progress fixpoint run after every message again. The ceiling leaves
+   about 4% of headroom. *)
+let session_words_ceiling = 435_000.0
+let alloc_spec = Spec.coordination ~n:5
+
+let test_session_alloc_ceiling () =
+  (* OCaml 5.1 updates the Gc.quick_stat counters only at minor
+     collections (every 256k words), so one session's figure is off by
+     up to a minor heap; over the same session run 64 times that error
+     is under 1% of the per-session mean. *)
+  let sessions = 64 in
+  let p = Compile.plan_memo_exn ~spec:alloc_spec ~theorem:Compile.T41 ~k:0 ~t:1 () in
+  let seed = 3 in
+  let make ~seed:_ =
+    Sim.Runner.config ~record:false
+      ~scheduler:(Sim.Scheduler.random_seeded seed)
+      (Compile.processes p ~types:(Array.make 5 0) ~coin_seed:(seed * 7919) ~seed)
+  in
+  let run sessions = Engine.run ~sessions ~make ~profile:(fun _ -> "") () in
+  (* warm: the plan memo, the Shamir caches and the runtime's heap *)
+  ignore (run 1);
+  let st = run sessions in
+  Alcotest.(check int) "sessions completed" sessions st.Engine.completed;
+  let words = Engine.words_per_session st in
+  if words > session_words_ceiling then
+    Alcotest.failf "one coordination session allocated %.0f words, ceiling %.0f" words
+      session_words_ceiling
+
 let () =
   Alcotest.run "cheaptalk"
     [
@@ -307,4 +414,6 @@ let () =
         Alcotest.test_case "wills through recycled engines" `Quick
           test_pool_with_wills_matches_fresh
         :: List.map QCheck_alcotest.to_alcotest [ prop_pool_processes_match_fresh ] );
+      ("settle", [ QCheck_alcotest.to_alcotest prop_settle_at_rest ]);
+      ("alloc", [ Alcotest.test_case "session words ceiling" `Quick test_session_alloc_ceiling ]);
     ]
